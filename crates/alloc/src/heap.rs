@@ -29,17 +29,23 @@ pub struct AllocStats {
     pub frees: u64,
 }
 
-/// One allocation shard: an arena carved from the pool with its own bump
-/// pointer, free lists and statistics, so each worker thread allocates
-/// without contending on a shared bump pointer or mixing free lists.
+/// A worker heap's private arena, carved from the pool by
+/// [`NvHeap::split_workers`]: its own bump pointer and free lists, so
+/// each worker thread allocates without contending on a shared bump
+/// pointer or mixing free lists.
 #[derive(Debug)]
-struct ShardAlloc {
+struct Arena {
     free_by_class: Vec<Vec<u64>>,
     /// Arena bounds: `[start, end)` within the pool.
     start: u64,
     end: u64,
     bump: u64,
-    stats: AllocStats,
+}
+
+impl Arena {
+    fn contains(&self, addr: u64) -> bool {
+        addr >= self.start && addr < self.end
+    }
 }
 
 /// A persistent heap over a simulated PM pool: an `nvm_malloc` equivalent
@@ -51,11 +57,9 @@ struct ShardAlloc {
 /// everything else (free lists, refcounts, the bump pointer) is volatile
 /// and reconstructed by recovery.
 ///
-/// Two sharding modes exist: [`NvHeap::configure_shards`] keeps one
-/// heap object with per-shard arenas (single-threaded attribution), and
 /// [`NvHeap::split_workers`] checks arenas out as independent worker
-/// heaps for genuinely lock-free multi-threaded staging (see
-/// `mod-core`'s `SharedModHeap` and [`crate::worker`]).
+/// heaps for lock-free multi-threaded staging (see `mod-core`'s
+/// `SharedModHeap` and [`crate::worker`]).
 #[derive(Debug)]
 pub struct NvHeap {
     pm: Pmem,
@@ -65,9 +69,8 @@ pub struct NvHeap {
     bump: u64,
     rc: HashMap<u64, u32>,
     stats: AllocStats,
-    /// Allocation shards (empty unless [`NvHeap::configure_shards`] ran).
-    shards: Vec<ShardAlloc>,
-    active_shard: usize,
+    /// The private arena of a worker heap (`None` on every other heap).
+    arena: Option<Arena>,
     /// Worker-mode state (this heap is a checked-out shard; see
     /// [`NvHeap::split_workers`]).
     worker: Option<WorkerMode>,
@@ -107,8 +110,7 @@ impl NvHeap {
             bump: HEAP_BASE,
             rc: HashMap::new(),
             stats: AllocStats::default(),
-            shards: Vec::new(),
-            active_shard: 0,
+            arena: None,
             worker: None,
             split: None,
             volatile_depth: 0,
@@ -172,128 +174,6 @@ impl NvHeap {
     }
 
     // ------------------------------------------------------------------
-    // Allocation shards
-    // ------------------------------------------------------------------
-
-    /// Splits the largest contiguous free span of the pool into `n`
-    /// equal arenas, one per shard: each gets its own bump pointer, free
-    /// lists and [`AllocStats`]. Also configures `n` shard lanes on the
-    /// underlying [`Pmem`]. Shard 0 becomes active; blocks outside the
-    /// carved span stay valid (their frees land in the shared free
-    /// lists, a fallback for every shard).
-    ///
-    /// The span is the unallocated tail *or* a coalesced free region
-    /// left by recovery, whichever is larger — after a crash/reopen the
-    /// bump pointer sits above the highest live block and most free
-    /// space lives in the region list, so carving only the tail would
-    /// shrink the arenas on every reopen cycle until sharding failed.
-    ///
-    /// Per-shard statistics attribute traffic to the shard that was
-    /// active when it happened; the global [`NvHeap::stats`] roll-up
-    /// (Table 3) stays exact regardless of which shard frees a block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`, in recovery mode, if shards are already
-    /// configured, or if the largest free span is too small to give
-    /// every shard a useful arena.
-    pub fn configure_shards(&mut self, n: usize) {
-        self.assert_ready();
-        assert!(n > 0, "need at least one shard");
-        assert!(self.shards.is_empty(), "shards already configured");
-        let tail = (self.bump, self.pm.capacity() - self.bump);
-        let (base, len) = self
-            .regions
-            .iter()
-            .map(|(&s, &l)| (s, l))
-            .chain(std::iter::once(tail))
-            .max_by_key(|&(_, l)| l)
-            .unwrap();
-        let per = (len / n as u64) & !15;
-        assert!(
-            per >= 64 * MIN_BLOCK,
-            "pool too fragmented to shard: largest free span gives {per} bytes per shard"
-        );
-        if base == self.bump {
-            // The span is the tail; the shards own it now.
-            self.bump = self.pm.capacity();
-        } else {
-            self.regions.remove(&base);
-        }
-        self.shards = (0..n as u64)
-            .map(|i| {
-                let start = base + i * per;
-                ShardAlloc {
-                    free_by_class: vec![Vec::new(); SIZE_CLASSES.len()],
-                    start,
-                    // The last shard absorbs the span's alignment
-                    // remainder.
-                    end: if i == n as u64 - 1 {
-                        base + len
-                    } else {
-                        start + per
-                    },
-                    bump: start,
-                    stats: AllocStats::default(),
-                }
-            })
-            .collect();
-        self.active_shard = 0;
-        self.pm.configure_shards(n);
-    }
-
-    /// Number of configured allocation shards (0 when unsharded).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Routes subsequent allocations (and stats/time attribution, via the
-    /// pool's shard lanes) to shard `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a configured shard.
-    pub fn set_active_shard(&mut self, s: usize) {
-        assert!(
-            s < self.shards.len().max(1),
-            "shard {s} out of range ({} configured)",
-            self.shards.len()
-        );
-        self.active_shard = s;
-        if self.pm.shard_count() > 0 {
-            self.pm.set_active_shard(s);
-        }
-    }
-
-    /// The shard currently receiving allocations (0 when unsharded).
-    pub fn active_shard(&self) -> usize {
-        self.active_shard
-    }
-
-    /// Allocation statistics attributed to shard `s`. Alloc/free counts
-    /// and cumulative bytes sum exactly to the global [`NvHeap::stats`]
-    /// for traffic since sharding; `live_*` is approximate per shard when
-    /// blocks are freed by a different shard than allocated them (the
-    /// global roll-up stays exact).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a configured shard.
-    pub fn shard_stats(&self, s: usize) -> &AllocStats {
-        &self.shards[s].stats
-    }
-
-    /// The shard whose arena contains `addr`, if any.
-    fn shard_of_addr(&self, addr: u64) -> Option<usize> {
-        if self.shards.is_empty() || addr < self.shards[0].start {
-            return None;
-        }
-        self.shards
-            .iter()
-            .position(|s| addr >= s.start && addr < s.end)
-    }
-
-    // ------------------------------------------------------------------
     // Worker split (lock-free staging)
     // ------------------------------------------------------------------
 
@@ -316,15 +196,19 @@ impl NvHeap {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`, in recovery mode, if legacy shards or a
-    /// previous split are configured, or if the largest free span is too
-    /// small to give every worker a useful arena.
+    /// Panics if `n == 0`, in recovery mode, if a previous split is
+    /// outstanding, or if the largest free span is too small to give
+    /// every worker a useful arena.
     pub fn split_workers(&mut self, n: usize) -> Vec<NvHeap> {
         self.assert_ready();
         assert!(n > 0, "need at least one worker");
-        assert!(self.shards.is_empty(), "legacy shards already configured");
         assert!(self.split.is_none(), "workers already split");
         assert!(self.worker.is_none(), "cannot split a worker heap");
+        // The span is the unallocated tail *or* a coalesced free region
+        // left by recovery, whichever is larger: after a crash/reopen the
+        // bump pointer sits above the highest live block and most free
+        // space lives in the region list, so carving only the tail would
+        // shrink the arenas on every reopen cycle until the split failed.
         let tail = (self.bump, self.pm.capacity() - self.bump);
         let (base, len) = self
             .regions
@@ -367,13 +251,12 @@ impl NvHeap {
                 // instead of clobbering the pool.
                 w.bump = self.pm.capacity();
                 w.annex = Arc::clone(&self.annex);
-                w.shards = vec![ShardAlloc {
+                w.arena = Some(Arena {
                     free_by_class: vec![Vec::new(); SIZE_CLASSES.len()],
                     start,
                     end,
                     bump: start,
-                    stats: AllocStats::default(),
-                }];
+                });
                 w.worker = Some(WorkerMode {
                     home: i as usize,
                     bins: Arc::clone(&bins),
@@ -499,7 +382,7 @@ impl NvHeap {
         self.apply_staged_effects(fx);
         self.pm.absorb_lines(w.pm.take_lines());
         self.pm.append_trace(w.pm.take_trace());
-        let shard = w.shards.pop().expect("worker heap has one shard");
+        let arena = w.arena.take().expect("worker heap owns an arena");
         let split = self.split.as_mut().expect("absorb_worker without a split");
         assert!(
             split.arenas.get(home).is_some_and(|a| a.is_some()),
@@ -507,7 +390,7 @@ impl NvHeap {
         );
         split.arenas[home] = None;
         let bin = std::mem::take(&mut *split.bins[home].lock().unwrap());
-        for (idx, list) in shard.free_by_class.into_iter().enumerate() {
+        for (idx, list) in arena.free_by_class.into_iter().enumerate() {
             self.free_by_class[idx].extend(list);
         }
         for (class, list) in w.volatile_free.drain() {
@@ -515,10 +398,10 @@ impl NvHeap {
         }
         for hdr in bin {
             let class = self.pm.peek_u64(hdr);
-            self.stash_free_block(hdr, class, false);
+            self.stash_free_block(hdr, class);
         }
-        if shard.end - shard.bump >= MIN_BLOCK {
-            self.regions.insert(shard.bump, shard.end - shard.bump);
+        if arena.end - arena.bump >= MIN_BLOCK {
+            self.regions.insert(arena.bump, arena.end - arena.bump);
         }
         if self.split_workers_outstanding() == 0 {
             self.split = None;
@@ -537,11 +420,6 @@ impl NvHeap {
         } else {
             self.pm.trace_free(hdr, HEADER_BYTES + class);
         }
-        let s = &mut self.shards[0];
-        s.stats.allocs -= 1;
-        s.stats.live_blocks -= 1;
-        s.stats.live_bytes -= class;
-        s.stats.cumulative_alloc_bytes -= class;
         self.stats.allocs -= 1;
         self.stats.live_blocks -= 1;
         self.stats.live_bytes -= class;
@@ -549,7 +427,8 @@ impl NvHeap {
         if volatile {
             self.volatile_free.entry(class).or_default().push(hdr);
         } else if let Some(idx) = class_index(class) {
-            self.shards[0].free_by_class[idx].push(hdr);
+            let arena = self.arena.as_mut().expect("worker heap owns an arena");
+            arena.free_by_class[idx].push(hdr);
         } else {
             self.regions.insert(hdr, HEADER_BYTES + class);
         }
@@ -640,14 +519,6 @@ impl NvHeap {
         self.stats.live_bytes += class;
         self.stats.cumulative_alloc_bytes += class;
         self.stats.hwm_live_bytes = self.stats.hwm_live_bytes.max(self.stats.live_bytes);
-        if let Some(shard) = self.shards.get_mut(self.active_shard) {
-            let s = &mut shard.stats;
-            s.allocs += 1;
-            s.live_blocks += 1;
-            s.live_bytes += class;
-            s.cumulative_alloc_bytes += class;
-            s.hwm_live_bytes = s.hwm_live_bytes.max(s.live_bytes);
-        }
         if let Some(w) = self.worker.as_mut() {
             w.fase_allocs.push(payload);
         }
@@ -656,19 +527,19 @@ impl NvHeap {
 
     fn take_block(&mut self, class: u64) -> u64 {
         let need = HEADER_BYTES + class;
-        if let Some(shard) = self.shards.get_mut(self.active_shard) {
+        if let Some(arena) = self.arena.as_mut() {
             if let Some(idx) = class_index(class) {
-                if let Some(hdr) = shard.free_by_class[idx].pop() {
+                if let Some(hdr) = arena.free_by_class[idx].pop() {
                     return hdr;
                 }
             }
-            if shard.bump + need <= shard.end {
-                let hdr = shard.bump;
-                shard.bump += need;
+            if arena.bump + need <= arena.end {
+                let hdr = arena.bump;
+                arena.bump += need;
                 return hdr;
             }
-            // Arena exhausted: fall through to the shared free lists and
-            // pre-sharding regions before giving up.
+            // Arena exhausted: fall through to the return bin, the
+            // shared free lists and recovered regions before giving up.
         }
         if let Some((bins, home)) = self.worker.as_ref().map(|w| (Arc::clone(&w.bins), w.home)) {
             // Drain the return bin — blocks of ours the commit stage
@@ -677,12 +548,12 @@ impl NvHeap {
             if !returned.is_empty() {
                 for hdr in returned {
                     let c = self.pm.peek_u64(hdr);
-                    self.stash_free_block(hdr, c, true);
+                    self.stash_free_block(hdr, c);
                 }
-                if let Some(idx) = class_index(class) {
-                    if let Some(hdr) = self.shards[0].free_by_class[idx].pop() {
-                        return hdr;
-                    }
+                let arena = self.arena.as_mut().expect("worker heap owns an arena");
+                let recycled = class_index(class).and_then(|idx| arena.free_by_class[idx].pop());
+                if let Some(hdr) = recycled {
+                    return hdr;
                 }
             }
         }
@@ -705,18 +576,6 @@ impl NvHeap {
                 self.regions.insert(start + need, rest);
             }
             return start;
-        }
-        // Steal bump space from the sibling shard with the most arena
-        // left: a skewed workload must not die of "pool exhausted" while
-        // other arenas sit empty. (Ownership follows the address, so the
-        // stolen block's frees return to the donor shard's lists.)
-        if let Some(i) = (0..self.shards.len())
-            .filter(|&i| self.shards[i].end - self.shards[i].bump >= need)
-            .max_by_key(|&i| self.shards[i].end - self.shards[i].bump)
-        {
-            let hdr = self.shards[i].bump;
-            self.shards[i].bump += need;
-            return hdr;
         }
         // Bump allocation.
         assert!(
@@ -745,13 +604,11 @@ impl NvHeap {
         if let Some(hdr) = self.volatile_free.get_mut(&class).and_then(|l| l.pop()) {
             return hdr;
         }
-        if self.shards.get(self.active_shard).is_some() {
-            let shard = &self.shards[self.active_shard];
-            let aligned = (shard.bump + 63) & !63;
-            if aligned + need <= shard.end {
-                let (old_bump, gap) = (shard.bump, aligned - shard.bump);
-                let shard = &mut self.shards[self.active_shard];
-                shard.bump = aligned + need;
+        if let Some(arena) = self.arena.as_mut() {
+            let aligned = (arena.bump + 63) & !63;
+            if aligned + need <= arena.end {
+                let (old_bump, gap) = (arena.bump, aligned - arena.bump);
+                arena.bump = aligned + need;
                 if gap >= MIN_BLOCK {
                     self.regions.insert(old_bump, gap);
                 }
@@ -765,7 +622,7 @@ impl NvHeap {
             if !returned.is_empty() {
                 for hdr in returned {
                     let c = self.pm.peek_u64(hdr);
-                    self.stash_free_block(hdr, c, true);
+                    self.stash_free_block(hdr, c);
                 }
                 if let Some(hdr) = self.volatile_free.get_mut(&class).and_then(|l| l.pop()) {
                     return hdr;
@@ -793,20 +650,17 @@ impl NvHeap {
 
     /// Routes a freed (or recycled-from-bin) block into the right free
     /// pool: volatile-shaped blocks into the volatile lists, exact
-    /// classes into the shard/global segregated lists, everything else
-    /// into the region map. `to_shard` prefers the worker's own shard
-    /// lists for class blocks.
-    fn stash_free_block(&mut self, hdr: u64, class: u64, to_shard: bool) {
+    /// classes into the segregated lists (a worker's own arena lists, the
+    /// shared lists elsewhere), everything else into the region map.
+    fn stash_free_block(&mut self, hdr: u64, class: u64) {
         if is_volatile_shape(hdr, class) {
             self.volatile_free.entry(class).or_default().push(hdr);
             return;
         }
-        match class_index(class) {
-            Some(idx) if to_shard && !self.shards.is_empty() => {
-                self.shards[0].free_by_class[idx].push(hdr)
-            }
-            Some(idx) => self.free_by_class[idx].push(hdr),
-            None => {
+        match (class_index(class), self.arena.as_mut()) {
+            (Some(idx), Some(arena)) => arena.free_by_class[idx].push(hdr),
+            (Some(idx), None) => self.free_by_class[idx].push(hdr),
+            (None, _) => {
                 self.regions.insert(hdr, HEADER_BYTES + class);
             }
         }
@@ -823,7 +677,7 @@ impl NvHeap {
         assert!(!ptr.is_null(), "freeing null PmPtr");
         if self.worker.is_some() {
             let hdr = ptr.addr() - HEADER_BYTES;
-            let own_arena = self.shard_of_addr(hdr).is_some();
+            let own_arena = self.arena.as_ref().is_some_and(|a| a.contains(hdr));
             if let Some(w) = self.worker.as_mut() {
                 if !own_arena {
                     // Foreign block: the authoritative free (rc removal,
@@ -872,19 +726,14 @@ impl NvHeap {
         if volatile {
             self.volatile_free.entry(class).or_default().push(hdr);
         } else {
-            // Blocks return to the free lists of the shard whose arena
-            // owns them (locality: that shard's allocations reuse them);
-            // blocks predating shard configuration go back to the shared
-            // lists.
-            let owner = self.shard_of_addr(hdr);
-            let list = match (owner, class_index(class)) {
-                (Some(s), Some(idx)) => Some(&mut self.shards[s].free_by_class[idx]),
-                (None, Some(idx)) => Some(&mut self.free_by_class[idx]),
-                (_, None) => None,
-            };
-            match list {
-                Some(l) => l.push(hdr),
-                None => {
+            // A worker's own blocks return to its arena lists (locality:
+            // its next allocations reuse them); every other block goes
+            // back to the shared lists.
+            let arena = self.arena.as_mut().filter(|a| a.contains(hdr));
+            match (class_index(class), arena) {
+                (Some(idx), Some(a)) => a.free_by_class[idx].push(hdr),
+                (Some(idx), None) => self.free_by_class[idx].push(hdr),
+                (None, _) => {
                     self.regions.insert(hdr, HEADER_BYTES + class);
                 }
             }
@@ -892,14 +741,6 @@ impl NvHeap {
         self.stats.frees += 1;
         self.stats.live_blocks -= 1;
         self.stats.live_bytes -= class;
-        if let Some(shard) = self.shards.get_mut(self.active_shard) {
-            let s = &mut shard.stats;
-            s.frees += 1;
-            // Cross-shard frees can undercut a shard's own live figures;
-            // saturate instead of underflowing (global stats stay exact).
-            s.live_blocks = s.live_blocks.saturating_sub(1);
-            s.live_bytes = s.live_bytes.saturating_sub(class);
-        }
     }
 
     /// Payload class size of the block at `ptr`, read from its header.
@@ -1365,48 +1206,28 @@ mod tests {
     }
 
     #[test]
-    fn shards_allocate_from_disjoint_arenas() {
-        let mut h = heap();
-        let before = h.alloc(32); // pre-shard block
-        h.configure_shards(4);
-        assert_eq!(h.shard_count(), 4);
-        assert_eq!(h.pm().shard_count(), 4, "pool lanes configured too");
-        let mut ptrs = Vec::new();
-        for s in 0..4 {
-            h.set_active_shard(s);
-            let a = h.alloc(64);
-            let b = h.alloc(64);
-            assert!(a.addr() > before.addr());
-            ptrs.push((s, a, b));
-        }
-        // Arena disjointness: shard i's blocks all sit below shard i+1's.
-        for w in ptrs.windows(2) {
-            let (_, _, hi_of_lower) = w[0];
-            let (_, lo_of_upper, _) = w[1];
-            assert!(hi_of_lower.addr() < lo_of_upper.addr());
-        }
-    }
-
-    #[test]
-    fn shards_survive_crash_reopen_cycles() {
+    fn split_workers_survive_crash_reopen_cycles() {
         // After a crash, most free space is in the recovered region
-        // list, not above the bump pointer; configure_shards must carve
+        // list, not above the bump pointer; split_workers must carve
         // from the largest free span or reopening a nearly empty pool
         // would fail after a handful of cycles.
-        let pm = Pmem::new(mod_pmem::PmemConfig {
+        let pm = Pmem::new(PmemConfig {
             capacity: 1 << 22,
-            ..mod_pmem::PmemConfig::testing()
+            ..PmemConfig::testing()
         });
         let mut h = NvHeap::format(pm);
         for cycle in 0..10 {
-            h.configure_shards(4);
-            // One small live block, written by the *last* shard (the
-            // worst case: its arena sits at the top of the span, so the
+            let mut workers = h.split_workers(4);
+            // One small live block, written by the *last* worker (the
+            // worst case: its arena sits near the top of the span, so the
             // recovered bump lands near the pool's end).
-            h.set_active_shard(3);
-            let live = h.alloc(1024);
-            h.write_u64(live.addr(), cycle);
-            h.flush_block(live);
+            let w = &mut workers[3];
+            let live = w.alloc(1024);
+            w.write_u64(live.addr(), cycle);
+            w.flush_block(live);
+            for w in workers {
+                h.absorb_worker(w);
+            }
             let slot = h.root_slot_addr(0);
             h.write_u64(slot, live.addr());
             h.clwb(slot);
@@ -1421,97 +1242,13 @@ mod tests {
     }
 
     #[test]
-    fn skewed_worker_steals_from_sibling_arenas() {
-        // One worker allocating far beyond its own arena must borrow
-        // bump space from sibling shards instead of dying of "pool
-        // exhausted" while three arenas sit empty.
-        let pm = Pmem::new(mod_pmem::PmemConfig {
-            capacity: 1 << 20,
-            ..mod_pmem::PmemConfig::testing()
-        });
-        let mut h = NvHeap::format(pm);
-        h.configure_shards(4);
-        h.set_active_shard(0);
-        // ~256 KiB per arena; allocate ~700 KiB from shard 0 alone.
-        let ptrs: Vec<PmPtr> = (0..170).map(|_| h.alloc(4096)).collect();
-        let mut uniq: Vec<u64> = ptrs.iter().map(|p| p.addr()).collect();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), ptrs.len(), "stolen blocks must not alias");
-        // Stolen blocks free back to their owning (donor) shards and are
-        // reusable.
-        for p in &ptrs {
-            h.free(*p);
-        }
-        let again = h.alloc(4096);
-        assert!(
-            uniq.binary_search(&again.addr()).is_ok(),
-            "freed space reused"
-        );
-    }
-
-    #[test]
-    fn shard_frees_reuse_within_owning_shard() {
+    fn worker_frees_reuse_within_own_arena() {
         let mut h = heap();
-        h.configure_shards(2);
-        h.set_active_shard(1);
-        let a = h.alloc(100);
-        // Freed from the *other* shard: still returns to shard 1's list
-        // (ownership is by arena address).
-        h.set_active_shard(0);
-        h.free(a);
-        h.set_active_shard(1);
-        let b = h.alloc(100);
-        assert_eq!(a, b, "shard 1 reuses its own freed block");
-    }
-
-    #[test]
-    fn shard_stats_roll_up_into_global() {
-        let mut h = heap();
-        h.configure_shards(2);
-        h.set_active_shard(0);
-        let a = h.alloc(16);
-        let _b = h.alloc(32);
-        h.set_active_shard(1);
-        let _c = h.alloc(64);
-        h.free(a);
-        let (s0, s1) = (h.shard_stats(0).clone(), h.shard_stats(1).clone());
-        assert_eq!(s0.allocs + s1.allocs, h.stats().allocs);
-        assert_eq!(s0.frees + s1.frees, h.stats().frees);
-        assert_eq!(
-            s0.cumulative_alloc_bytes + s1.cumulative_alloc_bytes,
-            h.stats().cumulative_alloc_bytes
-        );
-        assert_eq!(s0.allocs, 2);
-        assert_eq!(s1.allocs, 1);
-        assert_eq!(s1.frees, 1, "free attributed to the freeing shard");
-    }
-
-    #[test]
-    fn pre_shard_blocks_free_into_shared_lists() {
-        let mut h = heap();
-        let a = h.alloc(100);
-        h.configure_shards(2);
-        h.free(a);
-        // A same-class allocation finds it via the shared fallback once
-        // the shard arena would otherwise be used — force fallback by
-        // checking the block is reused by *some* shard.
-        h.set_active_shard(1);
-        let b = h.alloc(100);
-        // Shard 1 prefers its own arena, so the pre-shard block stays in
-        // the shared list until arenas run dry; both behaviors keep the
-        // block valid. Just assert allocation still works and addresses
-        // never collide.
-        assert_ne!(a, b);
-        let _ = b;
-    }
-
-    #[test]
-    #[should_panic(expected = "already configured")]
-    fn double_shard_configuration_rejected() {
-        let mut h = heap();
-        h.configure_shards(2);
-        h.configure_shards(2);
+        let mut workers = h.split_workers(2);
+        let w = &mut workers[1];
+        let a = w.alloc(100);
+        w.free(a);
+        assert_eq!(w.alloc(100), a, "worker reuses its own freed block");
     }
 
     #[test]

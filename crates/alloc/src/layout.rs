@@ -5,6 +5,8 @@
 //! ```text
 //! [0,   64)   pool header: magic, capacity
 //! [64,  576)  64 persistent root slots (8 bytes each)
+//! [576, 1024) reserved (bytes 576..976 held the redo log of the
+//!             unrelated-commit protocol removed in 0.3)
 //! [1024, ..)  heap blocks: 16-byte header + payload, 16-byte aligned
 //! ```
 //!

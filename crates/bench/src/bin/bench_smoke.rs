@@ -31,17 +31,18 @@
 //! slowdown, not runner noise.
 //!
 //! The flush-coalescing section runs the map micro with the fence-epoch
-//! flush cache on and off: the on-run's effective flushes/op gates
-//! bit-exactly (`coalesce.flushes_per_op`), the dedup rate and the
-//! uncoalesced count land under ungated `info.coalesce.*` keys, and the
-//! file-backend session's journal bytes per FASE additionally gate as
-//! `coalesce.journal_bytes_per_fase` — the compact journal codec is a
-//! product surface, and its traffic is bit-deterministic.
+//! flush cache on and off: the on-run is the default shape whose
+//! effective flushes/op already gates bit-exactly as
+//! `map.flushes_per_op`, the dedup rate and the uncoalesced count land
+//! under ungated `info.coalesce.*` keys, and the file-backend session's
+//! journal bytes per FASE gate as `coalesce.journal_bytes_per_fase` —
+//! the compact journal codec is a product surface, and its traffic is
+//! bit-deterministic.
 //!
 //! The file-backend section runs a persistent session against a real
-//! pool file and records ungated `info.file_backend.*` keys: journal
-//! bytes appended per FASE, compactions, and the host time to replay the
-//! pool on reopen. A second pass runs group-committed FASEs against a
+//! pool file and records ungated `info.file_backend.*` keys:
+//! compactions and the host time to replay the pool on reopen (its
+//! journal bytes per FASE are the gated key above). A second pass runs group-committed FASEs against a
 //! power-loss-grade **pool set** (4 shard journals, fsync per fence) and
 //! records the fsync amortization (`fsync_rounds_per_fase` ≤ 1/N for
 //! batch size N), per-shard journal traffic, and the parallel-replay
@@ -59,7 +60,7 @@
 //! bench_smoke [--check] [--out FILE] [--baseline FILE] [--tolerance PCT]
 //! ```
 //!
-//! * `--out` (default `BENCH_PR10.json`; CI passes `--out "$BENCH_OUT"`):
+//! * `--out` (default `BENCH_PR13.json`; CI passes `--out "$BENCH_OUT"`):
 //!   where to write this run's metrics (uploaded as a CI artifact).
 //! * `--check`: compare against `--baseline` (default
 //!   `bench/baseline.json`) and exit non-zero if any metric regresses by
@@ -168,7 +169,6 @@ fn collect_metrics() -> Metrics {
         let _ = std::fs::remove_file(&path);
         let cfg = mod_pmem::PmemConfig {
             capacity: 1 << 26,
-            crash_sim: false,
             ..mod_pmem::PmemConfig::default()
         };
         let mut heap = ModHeap::create_file(&path, cfg.clone()).expect("hybrid pool");
@@ -212,19 +212,15 @@ fn collect_metrics() -> Metrics {
 
     eprintln!("  bench_smoke: flush-coalescing ablation (map micro, on vs off) ...");
     {
-        // Gated: the map micro with the fence-epoch flush cache on (the
-        // default shape every other section already runs in). Bit-exact;
-        // drift means the elision coverage itself changed. The off-run
-        // pins the cache's contribution as ungated info keys.
+        // The map micro with the fence-epoch flush cache on is the
+        // default shape, so its flushes/op already gates bit-exactly as
+        // `map.flushes_per_op`. The on/off pair pins the cache's
+        // contribution as ungated info keys.
         let on = mod_workloads::run_map_coalesce(&scale, true);
         let off = mod_workloads::run_map_coalesce(&scale, false);
         assert_eq!(
             on.fences, off.fences,
             "flush coalescing must never change the fence schedule"
-        );
-        m.insert(
-            "coalesce.flushes_per_op".to_string(),
-            on.flushes as f64 / on.ops as f64,
         );
         m.insert(
             "info.coalesce.flushes_deduped_per_op".to_string(),
@@ -270,14 +266,9 @@ fn collect_metrics() -> Metrics {
         drop(session);
         // Journal traffic is bit-deterministic (sim time and line
         // contents both are), so the codec's compactness gates: a
-        // regression in the v3 varint/delta encoding fails CI here. The
-        // `info.` twin stays for artifact continuity.
+        // regression in the v3 varint/delta encoding fails CI here.
         m.insert(
             "coalesce.journal_bytes_per_fase".to_string(),
-            backend.journal_bytes as f64 / SESSION_OPS as f64,
-        );
-        m.insert(
-            "info.file_backend.journal_bytes_per_fase".to_string(),
             backend.journal_bytes as f64 / SESSION_OPS as f64,
         );
         m.insert(
@@ -412,13 +403,6 @@ fn collect_metrics() -> Metrics {
                 format!("info.server.conns{conns}.errors"),
                 report.errors as f64,
             );
-            // The headline keys track the single-connection run: it is
-            // the least scheduler-sensitive configuration on small CI
-            // runners, and reply-after-fence cost shows up undiluted.
-            if conns == 1 {
-                m.insert("info.server.req_per_s".to_string(), report.req_per_s());
-                m.insert("info.server.p99_ns".to_string(), report.p99_ns() as f64);
-            }
         }
         handle.stop();
         let _ = std::fs::remove_file(&path);
@@ -521,7 +505,7 @@ fn collect_metrics() -> Metrics {
 
 fn main() -> ExitCode {
     let mut check = false;
-    let mut out = String::from("BENCH_PR10.json");
+    let mut out = String::from("BENCH_PR13.json");
     let mut baseline = String::from("bench/baseline.json");
     let mut tolerance = 10.0f64;
     let mut args = std::env::args().skip(1);

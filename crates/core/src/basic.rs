@@ -40,8 +40,8 @@ use std::marker::PhantomData;
 
 /// Why reattaching a typed wrapper to a directory index failed.
 ///
-/// Returned by the `try_open` constructors; the panicking `open`
-/// constructors surface the same conditions as panics.
+/// Returned by [`RootBuilder::open`] and
+/// [`RootBuilder::open_or_create`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OpenError {
     /// No root was ever published at this directory index.
@@ -373,32 +373,6 @@ impl<K: PmKey, V: PmValue> DurableMap<K, V> {
         Self::create_with(heap, PersistPolicy::Full)
     }
 
-    /// Reattaches to the map published at directory `index` (after
-    /// recovery).
-    ///
-    /// Both the structure kind and the `K`/`V` codec discipline are
-    /// checked against the persistent directory entry: opening a
-    /// `DurableMap<u64, Vec<u8>>` root as `DurableMap<String, u64>`
-    /// fails instead of decoding garbage.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn open(heap: &ModHeap, index: usize) -> Self {
-        match Self::open_with(heap, index, PersistPolicy::Full) {
-            Ok(map) => map,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Reattaches to the map published at directory `index`, reporting
-    /// kind and codec mismatches as a typed [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn try_open(heap: &ModHeap, index: usize) -> Result<Self, OpenError> {
-        Self::open_with(heap, index, PersistPolicy::Full)
-    }
-
     /// Wraps an already-opened typed root (full persistence).
     pub fn from_root(root: Root<PmMap>) -> Self {
         DurableMap {
@@ -612,44 +586,12 @@ impl<K: PmKey, V: PmValue> DurableMap<K, V> {
         self.cur(heap).peek_is_empty(heap.nv())
     }
 
-    /// Looks up `key` through the charged (instrumented) read path.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `DurableMap::get`, which takes `&ModHeap`"
-    )]
-    pub fn get_mut(&self, heap: &mut ModHeap, key: &K) -> Option<V> {
+    /// Looks up `key` through the charged read path: unlike
+    /// [`DurableMap::get`], the lookup runs through the simulated cache
+    /// and latency model, as a workload's measured probe must.
+    pub fn get_charged(&self, heap: &mut ModHeap, key: &K) -> Option<V> {
         let cur = self.cur(heap);
         lookup(cur, &mut heap.nv_mut().into(), &key.repr())
-    }
-
-    /// Membership test through the charged (instrumented) read path.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `DurableMap::contains_key`, which takes `&ModHeap`"
-    )]
-    #[allow(deprecated)]
-    pub fn contains_key_mut(&self, heap: &mut ModHeap, key: &K) -> bool {
-        match key.repr() {
-            KeyRepr::Exact(w) => self.cur(heap).contains_key(heap.nv_mut(), w),
-            KeyRepr::Hashed { .. } => self.get_mut(heap, key).is_some(),
-        }
-    }
-
-    /// Entry count through the charged (instrumented) read path.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `DurableMap::len`, which takes `&ModHeap`"
-    )]
-    pub fn len_mut(&self, heap: &mut ModHeap) -> u64 {
-        let cur = self.cur(heap);
-        if !K::EXACT {
-            cur.to_vec(heap.nv_mut())
-                .iter()
-                .map(|(_, bucket)| frames(bucket).count() as u64)
-                .sum()
-        } else {
-            cur.len(heap.nv_mut())
-        }
     }
 }
 
@@ -711,26 +653,6 @@ impl<K: PmKey> DurableSet<K> {
     /// the `K` codec discipline recorded in the directory entry.
     pub fn create(heap: &mut ModHeap) -> Self {
         Self::create_with(heap, PersistPolicy::Full)
-    }
-
-    /// Reattaches to the set published at directory `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn open(heap: &ModHeap, index: usize) -> Self {
-        match Self::open_with(heap, index, PersistPolicy::Full) {
-            Ok(set) => set,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Reattaches to the set published at directory `index`, reporting
-    /// kind and codec mismatches as a typed [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn try_open(heap: &ModHeap, index: usize) -> Result<Self, OpenError> {
-        Self::open_with(heap, index, PersistPolicy::Full)
     }
 
     /// Wraps an already-opened typed root (full persistence).
@@ -844,26 +766,6 @@ impl<V: PmWord> DurableVector<V> {
         let v0 = PmVector::from_slice(heap.nv_mut(), &words);
         let root = heap.publish_tagged(v0, Self::CODEC_WORD);
         Self::from_root(root)
-    }
-
-    /// Reattaches to the vector published at directory `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn open(heap: &ModHeap, index: usize) -> Self {
-        match Self::open_with(heap, index, PersistPolicy::Full) {
-            Ok(v) => v,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Reattaches to the vector published at directory `index`,
-    /// reporting kind and codec mismatches as a typed [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn try_open(heap: &ModHeap, index: usize) -> Result<Self, OpenError> {
-        Self::open_with(heap, index, PersistPolicy::Full)
     }
 
     /// Wraps an already-opened typed root (full persistence).
@@ -1116,26 +1018,6 @@ impl<V: PmWord> DurableStack<V> {
         Self::create_with(heap, PersistPolicy::Full)
     }
 
-    /// Reattaches to the stack published at directory `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn open(heap: &ModHeap, index: usize) -> Self {
-        match Self::open_with(heap, index, PersistPolicy::Full) {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Reattaches to the stack published at directory `index`, reporting
-    /// kind and codec mismatches as a typed [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn try_open(heap: &ModHeap, index: usize) -> Result<Self, OpenError> {
-        Self::open_with(heap, index, PersistPolicy::Full)
-    }
-
     /// Wraps an already-opened typed root (full persistence).
     pub fn from_root(root: Root<PmStack>) -> Self {
         DurableStack {
@@ -1291,26 +1173,6 @@ impl<V: PmWord> DurableQueue<V> {
     /// the `V` codec discipline recorded in the directory entry.
     pub fn create(heap: &mut ModHeap) -> Self {
         Self::create_with(heap, PersistPolicy::Full)
-    }
-
-    /// Reattaches to the queue published at directory `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn open(heap: &ModHeap, index: usize) -> Self {
-        match Self::open_with(heap, index, PersistPolicy::Full) {
-            Ok(q) => q,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Reattaches to the queue published at directory `index`, reporting
-    /// kind and codec mismatches as a typed [`OpenError`].
-    #[deprecated(since = "0.4.0", note = "use `heap.root(index).open()`")]
-    pub fn try_open(heap: &ModHeap, index: usize) -> Result<Self, OpenError> {
-        Self::open_with(heap, index, PersistPolicy::Full)
     }
 
     /// Wraps an already-opened typed root (full persistence).
@@ -1558,15 +1420,6 @@ mod tests {
             h2.root::<DurableMap<u64, Vec<u8>>>(9).open(),
             Err(OpenError::NoSuchRoot { index: 9, roots: 1 })
         ));
-    }
-
-    #[test]
-    #[should_panic(expected = "was opened expecting")]
-    #[allow(deprecated)]
-    fn deprecated_open_still_delegates_and_panics_on_codec_mismatch() {
-        let mut h = mh();
-        let _map: DurableMap<u64, Vec<u8>> = DurableMap::create(&mut h);
-        let _ = DurableMap::<String, u64>::open(&h, 0);
     }
 
     #[test]

@@ -24,9 +24,9 @@
 //!
 //! Recovery ([`ModHeap::open`]) is self-describing: typed roots live in a
 //! persistent root directory that records each structure's [`RootKind`],
-//! so reopening a pool needs no caller-supplied slot specs. It redoes any
-//! interrupted legacy unrelated commit, garbage-collects mid-FASE leaks
-//! by reachability, and rebuilds the volatile reference counts (§5.2–5.3).
+//! so reopening a pool needs no caller-supplied slot specs. It
+//! garbage-collects mid-FASE leaks by reachability and rebuilds the
+//! volatile reference counts (§5.2–5.3).
 //!
 //! ## Example: one FASE over two structures
 //!
@@ -83,7 +83,7 @@ pub use basic::{
 pub use codec::{PmKey, PmValue, PmWord};
 pub use erased::{DurableDs, ErasedDs, RootKind};
 pub use fase::Fase;
-pub use heap::{ModHeap, ULOG_CAP};
+pub use heap::ModHeap;
 pub use queue::HandoffQueue;
 pub use root::{Root, ROOT_DIR_SLOT};
 pub use sched::{SeededRoundRobin, Turn};

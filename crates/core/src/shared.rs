@@ -1504,7 +1504,7 @@ impl SharedModHeap {
     ///
     /// # Panics
     ///
-    /// Panics unless the pool was created with crash simulation.
+    /// Panics if the commit lock is poisoned.
     pub fn crash_image(&self, policy: CrashPolicy) -> Pmem {
         self.with(|h| h.nv().pm().crash_image(policy))
     }

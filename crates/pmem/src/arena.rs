@@ -18,8 +18,8 @@
 //!   publishes through single aligned 8-byte stores.
 //!
 //! Segments are allocated lazily (zero-filled) so a large pool costs
-//! memory only where it is touched — important because crash-simulation
-//! mode keeps a second arena holding the durable image.
+//! memory only where it is touched — important because every pool keeps
+//! a second arena holding the durable image.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};

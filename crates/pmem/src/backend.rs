@@ -5,7 +5,7 @@
 //! decides *where* that durable state lives:
 //!
 //! * [`MemBackend`] — volatile host memory (the original behavior): the
-//!   durable image is the crash-sim arena, and the pool dies with the
+//!   durable image is the pool's durable arena, and the pool dies with the
 //!   process. Every hook is a no-op, so pools built through
 //!   [`crate::Pmem::new`] behave byte-for-byte as before.
 //! * [`FileBackend`] — a real file: at each `sfence`, exactly the lines
@@ -192,7 +192,7 @@ pub trait PoolBackend: fmt::Debug + Send + Sync {
     }
 }
 
-/// The volatile backend: durable state lives in the crash-sim arena and
+/// The volatile backend: durable state lives in the durable arena and
 /// dies with the process. All hooks are no-ops.
 #[derive(Debug, Default)]
 pub struct MemBackend;

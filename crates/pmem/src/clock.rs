@@ -128,8 +128,8 @@ impl SimClock {
     }
 
     /// Advances the clock so that [`SimClock::now_ns`] is at least `t`,
-    /// charging the gap (if any) to `cat`. Used to synchronize per-shard
-    /// lane clocks at shared events like a pipelined batch fence: a lane
+    /// charging the gap (if any) to `cat`. Used to synchronize worker-handle
+    /// clocks at shared events like a pipelined batch fence: a handle
     /// that arrives early stalls until the event time.
     pub fn sync_to_ns(&mut self, t: f64, cat: TimeCategory) {
         let gap = t - self.now_ns();

@@ -22,7 +22,7 @@
 
 /// One timeline's WPQ: per-lane drain-channel occupancy plus the latest
 /// scheduled completion. Times are simulated nanoseconds on the clock of
-/// whichever timeline (global, or the shard-lane group) owns the queue.
+/// the pool handle that owns the queue.
 #[derive(Clone, Debug, Default)]
 pub struct WpqDrain {
     /// Time each WPQ lane's serialized drain channel frees up.

@@ -211,7 +211,10 @@ fn read_varint(b: &[u8], at: &mut usize) -> Option<u64> {
     }
 }
 
-/// Encodes the fixed file header.
+/// Encodes the fixed v1 file header. Test-only: current builds write
+/// v3 pools; the v1/v2 encoders survive to build old-pool fixtures for
+/// the replay tests.
+#[cfg(test)]
 pub fn encode_header(capacity: u64) -> [u8; HEADER_BYTES] {
     let mut out = [0u8; HEADER_BYTES];
     out[0..8].copy_from_slice(&FILE_MAGIC.to_le_bytes());
@@ -289,6 +292,8 @@ pub struct SetHeader {
 /// Encodes a v2 pool-set member header. The reserved word of the v1
 /// header carries the shard geometry: low half the shard count, high
 /// half this member's index ([`SHARD_BASE`] for the base file).
+/// Test-only (old-pool fixtures).
+#[cfg(test)]
 pub fn encode_set_header(capacity: u64, shards: u16, shard_index: u16) -> [u8; HEADER_BYTES] {
     let mut out = [0u8; HEADER_BYTES];
     out[0..8].copy_from_slice(&FILE_MAGIC.to_le_bytes());
@@ -350,7 +355,9 @@ fn encode_record(tag: u32, body: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Encodes one batch record (the per-fence append).
+/// Encodes one v1 batch record (the per-fence append). Test-only
+/// (old-pool fixtures).
+#[cfg(test)]
 pub fn encode_batch(seq: u64, kind: BatchKind, fence_ns: f64, lines: &[LineImage]) -> Vec<u8> {
     let mut body = Vec::with_capacity(24 + lines.len() * (8 + CACHELINE as usize));
     push_u64(&mut body, seq);
@@ -366,6 +373,8 @@ pub fn encode_batch(seq: u64, kind: BatchKind, fence_ns: f64, lines: &[LineImage
 
 /// Encodes one shard-batch record: shard `slice` of the fence `seq`,
 /// which touched the shards in `shard_mask` (bit *i* = shard *i*).
+/// Test-only (old-pool fixtures).
+#[cfg(test)]
 pub fn encode_shard_batch(
     seq: u64,
     kind: BatchKind,
@@ -435,8 +444,9 @@ pub fn encode_batch_v3(seq: u64, kind: BatchKind, fence_ns: f64, lines: &[LineIm
     )
 }
 
-/// Encodes one compact (v3) shard-batch record; see [`encode_batch_v3`]
-/// and [`encode_shard_batch`].
+/// Encodes one compact (v3) shard-batch record: like
+/// [`encode_batch_v3`], plus the mask of shards the fence touched (bit
+/// *i* = shard *i*).
 pub fn encode_shard_batch_v3(
     seq: u64,
     kind: BatchKind,

@@ -43,9 +43,6 @@ use std::sync::Arc;
 pub struct PmemConfig {
     /// Pool capacity in bytes.
     pub capacity: u64,
-    /// Maintain a durable image so crashes can be simulated. Costs one
-    /// extra lazily-populated arena.
-    pub crash_sim: bool,
     /// Record a [`TraceEvent`] stream (for the §5.4 checker).
     pub trace: bool,
     /// Latency parameters.
@@ -80,7 +77,6 @@ impl Default for PmemConfig {
     fn default() -> PmemConfig {
         PmemConfig {
             capacity: 1 << 30,
-            crash_sim: false,
             trace: false,
             latency: LatencyModel::optane(),
             cache: CacheConfig::l1d(),
@@ -93,22 +89,20 @@ impl Default for PmemConfig {
 }
 
 impl PmemConfig {
-    /// A small pool with crash simulation and tracing enabled — the
-    /// configuration used by most tests.
+    /// A small pool with tracing enabled — the configuration used by
+    /// most tests.
     pub fn testing() -> PmemConfig {
         PmemConfig {
             capacity: 1 << 26,
-            crash_sim: true,
             trace: true,
             ..PmemConfig::default()
         }
     }
 
-    /// A pool tuned for benchmarking: no crash image, no tracing.
+    /// A pool tuned for benchmarking: no tracing.
     pub fn benchmarking(capacity: u64) -> PmemConfig {
         PmemConfig {
             capacity,
-            crash_sim: false,
             trace: false,
             ..PmemConfig::default()
         }
@@ -156,15 +150,6 @@ impl CrashPolicy {
             }
         }
     }
-}
-
-/// Per-shard execution lane: its own simulated clock and activity
-/// counters, so concurrent workers accumulate time in parallel timelines
-/// while the global clock/stats keep counting total work.
-#[derive(Debug, Default)]
-struct ShardLane {
-    clock: SimClock,
-    stats: PmStats,
 }
 
 /// Volatile line states in transit from a worker's shard handle to the
@@ -218,7 +203,11 @@ pub struct ReplayStats {
 pub struct Pmem {
     cfg: PmemConfig,
     data: SharedArena,
-    durable: Option<SharedArena>,
+    /// The last-fenced image: what survives a crash, the compaction
+    /// source of a file-backed pool and the flush cache's authority for
+    /// "bytes already persistent" (see `clwb`). Segments materialize
+    /// lazily, so the cost tracks the touched working set, not capacity.
+    durable: SharedArena,
     /// Where durable bytes live ([`MemBackend`] or [`FileBackend`]);
     /// shared with every forked shard handle.
     backend: Arc<dyn PoolBackend>,
@@ -230,17 +219,9 @@ pub struct Pmem {
     llc: CacheSim,
     clock: SimClock,
     stats: PmStats,
-    /// WPQ drain calendar of the global timeline (also the authority for
-    /// per-line drained-at-crash decisions).
+    /// WPQ drain calendar (also the authority for per-line
+    /// drained-at-crash decisions).
     drain: WpqDrain,
-    /// WPQ drain calendar shared by the shard-lane timelines: the queue
-    /// is one piece of hardware, so drains from different lanes
-    /// serialize against each other even though the lanes' compute
-    /// overlaps.
-    shard_drain: WpqDrain,
-    /// Per-shard lanes (empty unless [`Pmem::configure_shards`] ran).
-    lanes: Vec<ShardLane>,
-    active_shard: usize,
     /// Volatile node-cache marks ("Don't Persist All" hybrid roots):
     /// shared by every forked handle, empty on crash images and fresh
     /// opens — volatility is process state.
@@ -253,21 +234,14 @@ impl Pmem {
     /// process; see [`Pmem::create_file`] for one that does not).
     pub fn new(cfg: PmemConfig) -> Pmem {
         let data = SharedArena::new(cfg.capacity);
-        // The durable image is maintained unconditionally: besides crash
-        // simulation it is the fence-epoch flush cache's authority for
-        // "bytes already persistent" (see `clwb`). Segments materialize
-        // lazily, so the cost tracks the touched working set, not
-        // capacity.
-        let durable = Some(SharedArena::new(cfg.capacity));
+        let durable = SharedArena::new(cfg.capacity);
         Pmem::from_parts(cfg, data, durable, Arc::new(MemBackend), None)
     }
 
     /// Formats a fresh **file-backed** pool at `path` (truncating any
     /// existing file): the pool header and an empty snapshot are written
     /// and synced, and from then on every `sfence` appends its durable
-    /// lines to the file's journal. File-backed pools always maintain a
-    /// durable image (the compaction source), regardless of
-    /// [`PmemConfig::crash_sim`].
+    /// lines to the file's journal.
     pub fn create_file(path: &Path, cfg: PmemConfig) -> io::Result<Pmem> {
         let backend =
             FileBackend::create_set(path, cfg.capacity, cfg.journal_shards, cfg.durability)?;
@@ -276,7 +250,7 @@ impl Pmem {
         Ok(Pmem::from_parts(
             cfg,
             data,
-            Some(durable),
+            durable,
             Arc::new(backend),
             None,
         ))
@@ -317,7 +291,7 @@ impl Pmem {
         Ok(Pmem::from_parts(
             cfg,
             data,
-            Some(durable),
+            durable,
             Arc::new(backend),
             Some(stats),
         ))
@@ -326,7 +300,7 @@ impl Pmem {
     fn from_parts(
         cfg: PmemConfig,
         data: SharedArena,
-        durable: Option<SharedArena>,
+        durable: SharedArena,
         backend: Arc<dyn PoolBackend>,
         replay: Option<ReplayStats>,
     ) -> Pmem {
@@ -342,9 +316,6 @@ impl Pmem {
             clock: SimClock::new(),
             stats: PmStats::new(),
             drain: WpqDrain::new(),
-            shard_drain: WpqDrain::new(),
-            lanes: Vec::new(),
-            active_shard: 0,
             volatile: Arc::new(VolatileSet::new(cfg.capacity)),
             trace: Vec::new(),
             cfg,
@@ -407,17 +378,13 @@ impl Pmem {
         if !drained.is_empty() {
             // Durable copy first, journal second (see the same ordering
             // note in `sfence`).
-            if let Some(d) = self.durable.as_ref() {
-                for &l in &drained {
-                    d.copy_from(&self.data, l, CACHELINE);
-                }
+            for &l in &drained {
+                self.durable.copy_from(&self.data, l, CACHELINE);
             }
             let images = self.line_images(&drained);
             self.backend.append_batch(BatchKind::Drained, &images, now);
         }
-        if let Some(d) = self.durable.as_ref() {
-            self.backend.compact(d)?;
-        }
+        self.backend.compact(&self.durable)?;
         self.backend.sync()
     }
 
@@ -431,125 +398,9 @@ impl Pmem {
         self.cfg.capacity
     }
 
-    // ------------------------------------------------------------------
-    // Shard lanes (concurrent timelines)
-    // ------------------------------------------------------------------
-
-    /// Configures `n` shard lanes: per-shard clocks and counters that let
-    /// a thread-per-shard front end account work in parallel simulated
-    /// timelines while the global clock keeps the serial total. Resets
-    /// any previous lane state; shard 0 becomes active.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn configure_shards(&mut self, n: usize) {
-        assert!(n > 0, "need at least one shard");
-        self.lanes = (0..n).map(|_| ShardLane::default()).collect();
-        self.active_shard = 0;
-    }
-
-    /// Number of configured shard lanes (0 when unsharded).
-    pub fn shard_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Routes subsequent charges and counters to shard `s`'s lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a configured shard.
-    pub fn set_active_shard(&mut self, s: usize) {
-        assert!(
-            s < self.lanes.len().max(1),
-            "shard {s} out of range ({} configured)",
-            self.lanes.len()
-        );
-        self.active_shard = s;
-    }
-
-    /// The shard currently receiving charges (0 when unsharded).
-    pub fn active_shard(&self) -> usize {
-        self.active_shard
-    }
-
-    /// Activity counters attributed to shard `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a configured shard.
-    pub fn shard_stats(&self, s: usize) -> &PmStats {
-        &self.lanes[s].stats
-    }
-
-    /// Simulated time accumulated on shard `s`'s lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a configured shard.
-    pub fn lane_ns(&self, s: usize) -> f64 {
-        self.lanes[s].clock.now_ns()
-    }
-
-    /// Per-category time breakdown of shard `s`'s lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a configured shard.
-    pub fn lane_breakdown(&self, s: usize) -> crate::clock::TimeBreakdown {
-        self.lanes[s].clock.breakdown()
-    }
-
-    /// Advances shard `s`'s lane to at least `t` simulated nanoseconds,
-    /// charging the stall (waiting on a shared event such as a pipelined
-    /// batch fence) as flush time. The global clock is untouched: waiting
-    /// is not work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a configured shard.
-    pub fn sync_lane_to(&mut self, s: usize, t: f64) {
-        self.lanes[s].clock.sync_to_ns(t, TimeCategory::Flush);
-    }
-
-    /// Simulated wall-clock time of the pool: the slowest shard lane when
-    /// sharded (lanes run in parallel), else the global clock.
-    pub fn wall_ns(&self) -> f64 {
-        if self.lanes.is_empty() {
-            self.clock.now_ns()
-        } else {
-            self.lanes
-                .iter()
-                .map(|l| l.clock.now_ns())
-                .fold(0.0, f64::max)
-        }
-    }
-
-    /// Rolls all shard-lane counters up into one total (equals the global
-    /// counters for activity that happened while lanes were configured).
-    pub fn rolled_up_shard_stats(&self) -> PmStats {
-        let mut total = PmStats::new();
-        for lane in &self.lanes {
-            total.merge(&lane.stats);
-        }
-        total
-    }
-
-    /// Advances the global clock and the active shard's lane together.
-    fn tick(&mut self, cat: TimeCategory, ns: f64) {
-        self.clock.advance_as(cat, ns);
-        if let Some(lane) = self.lanes.get_mut(self.active_shard) {
-            lane.clock.advance_as(cat, ns);
-        }
-    }
-
-    /// [`Pmem::tick`] attributed to the current tag.
+    /// Advances the clock, attributed to the current tag.
     fn tick_tagged(&mut self, ns: f64) {
-        self.tick(self.clock.current_tag(), ns);
-    }
-
-    fn lane_stats_mut(&mut self) -> Option<&mut PmStats> {
-        self.lanes.get_mut(self.active_shard).map(|l| &mut l.stats)
+        self.clock.advance_as(self.clock.current_tag(), ns);
     }
 
     // ------------------------------------------------------------------
@@ -573,9 +424,6 @@ impl Pmem {
             self.tick_tagged(ns);
         }
         self.stats.reads += 1;
-        if let Some(s) = self.lane_stats_mut() {
-            s.reads += 1;
-        }
     }
 
     fn charge_write_lines(&mut self, addr: u64, len: u64) {
@@ -598,10 +446,6 @@ impl Pmem {
         }
         self.stats.writes += 1;
         self.stats.bytes_written += len;
-        if let Some(s) = self.lane_stats_mut() {
-            s.writes += 1;
-            s.bytes_written += len;
-        }
     }
 
     /// Reads `buf.len()` bytes at `addr` through the cache model.
@@ -648,19 +492,17 @@ impl Pmem {
         // (see charge_write_lines): do it before mutating `data`. The
         // racing writeback is modelled as having completed, so a file
         // backend journals the pre-store content as a drained batch.
-        if let Some(durable) = self.durable.as_ref() {
-            let mut raced: Vec<u64> = Vec::new();
-            for l in lines_covering(addr, buf.len() as u64) {
-                if matches!(self.lines.get(&l), Some(LineState::Inflight { .. })) {
-                    durable.copy_from(&self.data, l, CACHELINE);
-                    raced.push(l);
-                }
+        let mut raced: Vec<u64> = Vec::new();
+        for l in lines_covering(addr, buf.len() as u64) {
+            if matches!(self.lines.get(&l), Some(LineState::Inflight { .. })) {
+                self.durable.copy_from(&self.data, l, CACHELINE);
+                raced.push(l);
             }
-            if !raced.is_empty() && self.backend.wants_batches() {
-                let images = self.line_images(&raced);
-                self.backend
-                    .append_batch(BatchKind::Drained, &images, self.clock.now_ns());
-            }
+        }
+        if !raced.is_empty() && self.backend.wants_batches() {
+            let images = self.line_images(&raced);
+            self.backend
+                .append_batch(BatchKind::Drained, &images, self.clock.now_ns());
         }
         self.charge_write_lines(addr, buf.len() as u64);
         self.data.write(addr, buf);
@@ -729,14 +571,11 @@ impl Pmem {
     /// Bypasses the cache/latency model — this is the software flush
     /// cache's bookkeeping, not a simulated memory access.
     fn line_matches_fenced_image(&self, line: u64) -> bool {
-        let Some(durable) = self.durable.as_ref() else {
-            return false;
-        };
         let len = CACHELINE.min(self.cfg.capacity - line) as usize;
         let mut cached = [0u8; CACHELINE as usize];
         let mut fenced = [0u8; CACHELINE as usize];
         self.data.read(line, &mut cached[..len]);
-        durable.read(line, &mut fenced[..len]);
+        self.durable.read(line, &mut fenced[..len]);
         cached[..len] == fenced[..len]
     }
 
@@ -744,9 +583,8 @@ impl Pmem {
     /// writeback that overlaps with other flushes. The line may stay in
     /// the cache (clwb does not evict). The writeback launches as the
     /// instruction issues: its background drain is scheduled on the
-    /// line's WPQ lane at the pre-issue timestamp of every timeline, so
-    /// compute charged between here and the next `sfence` hides drain
-    /// work.
+    /// line's WPQ lane at the pre-issue timestamp, so compute charged
+    /// between here and the next `sfence` hides drain work.
     ///
     /// With [`PmemConfig::coalesce_flushes`] on (the default), requests
     /// pass through a **fence-epoch flush cache** first: a request whose
@@ -769,16 +607,9 @@ impl Pmem {
             // Count what full persistence would have paid.
             self.stats.flushes_issued += 1;
             self.stats.flushes_avoided += 1;
-            if let Some(s) = self.lane_stats_mut() {
-                s.flushes_issued += 1;
-                s.flushes_avoided += 1;
-            }
             return;
         }
         self.stats.flushes_issued += 1;
-        if let Some(s) = self.lane_stats_mut() {
-            s.flushes_issued += 1;
-        }
         let coalesce = self.cfg.coalesce_flushes;
         let mut effective = matches!(self.lines.get(&line), Some(LineState::Dirty));
         if effective && coalesce && self.line_matches_fenced_image(line) {
@@ -791,34 +622,26 @@ impl Pmem {
             effective = false;
         }
         if effective {
-            let launch = self.cfg.latency.wpq_launch_ns;
-            let occupancy = self.cfg.latency.wpq_drain_ns;
-            let wpq_lanes = self.cfg.latency.wpq_lanes;
-            let done_ns =
-                self.drain
-                    .schedule(line, self.clock.now_ns(), launch, occupancy, wpq_lanes);
-            if let Some(lane) = self.lanes.get(self.active_shard) {
-                let lane_now = lane.clock.now_ns();
-                self.shard_drain
-                    .schedule(line, lane_now, launch, occupancy, wpq_lanes);
-            }
+            let m = &self.cfg.latency;
+            let done_ns = self.drain.schedule(
+                line,
+                self.clock.now_ns(),
+                m.wpq_launch_ns,
+                m.wpq_drain_ns,
+                m.wpq_lanes,
+            );
             self.lines.insert(line, LineState::Inflight { done_ns });
             self.inflight += 1;
             self.stats.effective_flushes += 1;
-            if let Some(s) = self.lane_stats_mut() {
-                s.effective_flushes += 1;
-            }
         } else {
             self.stats.flushes_deduped += 1;
-            if let Some(s) = self.lane_stats_mut() {
-                s.flushes_deduped += 1;
-            }
         }
         if effective || !coalesce {
             // An elided request never issues, so it pays nothing; with
             // the cache off every request pays the issue charge, exactly
             // the pre-coalescing pipeline.
-            self.tick(TimeCategory::Flush, self.cfg.latency.clwb_issue_ns);
+            self.clock
+                .advance_as(TimeCategory::Flush, self.cfg.latency.clwb_issue_ns);
         }
         if self.cfg.trace {
             self.trace.push(TraceEvent::Clwb { line });
@@ -858,26 +681,6 @@ impl Pmem {
         self.drain.reset();
         self.stats.fences += 1;
         self.stats.epoch_hist.record(n as u32);
-        if let Some(lane) = self.lanes.get_mut(self.active_shard) {
-            // The WPQ is shared hardware: the fencing lane waits for the
-            // latest drain *any* lane scheduled (lane clocks are
-            // comparable — batch fences synchronize them).
-            let l_stall = if n == 0 {
-                overhead
-            } else {
-                self.shard_drain
-                    .residual_at(lane.clock.now_ns())
-                    .max(overhead)
-            };
-            lane.clock.advance_as(TimeCategory::Flush, l_stall);
-            if n > 0 {
-                lane.stats.residual_stall_ns += l_stall;
-                lane.stats.overlap_ns += (serialized - l_stall).max(0.0);
-            }
-            lane.stats.fences += 1;
-            lane.stats.epoch_hist.record(n as u32);
-            self.shard_drain.reset();
-        }
         if n > 0 {
             let mut flushed: Vec<u64> = self
                 .lines
@@ -892,9 +695,7 @@ impl Pmem {
             // record can be folded away.
             for &l in &flushed {
                 self.lines.remove(&l);
-                if let Some(d) = self.durable.as_ref() {
-                    d.copy_from(&self.data, l, CACHELINE);
-                }
+                self.durable.copy_from(&self.data, l, CACHELINE);
             }
             self.inflight = 0;
             // The backend hook: exactly this fence's lines, as one
@@ -910,12 +711,8 @@ impl Pmem {
             // Fold a grown journal into a snapshot while the durable
             // image is quiescent (right after its fence updates).
             if self.backend.should_compact() {
-                let d = self
-                    .durable
-                    .as_ref()
-                    .expect("file-backed pools always keep a durable image");
                 self.backend
-                    .compact(d)
+                    .compact(&self.durable)
                     .expect("pool journal compaction failed");
             }
         }
@@ -942,9 +739,6 @@ impl Pmem {
     pub fn mark_volatile(&mut self, addr: u64, len: u64) {
         self.volatile.mark(addr, len);
         self.stats.volatile_node_bytes += len;
-        if let Some(s) = self.lane_stats_mut() {
-            s.volatile_node_bytes += len;
-        }
     }
 
     /// Clears the volatile marks of `[addr, addr + len)` (block freed:
@@ -1073,15 +867,10 @@ impl Pmem {
         self.cache.reset_stats();
         self.llc.reset_stats();
         self.drain.reset();
-        self.shard_drain.reset();
         for state in self.lines.values_mut() {
             if let LineState::Inflight { done_ns } = state {
                 *done_ns = 0.0;
             }
-        }
-        for lane in &mut self.lanes {
-            lane.clock.reset();
-            lane.stats = PmStats::new();
         }
     }
 
@@ -1211,20 +1000,8 @@ impl Pmem {
     /// chooses to persist. The returned pool starts with cold caches, a
     /// zeroed clock and no volatile line state — exactly like a machine
     /// after power loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the pool was created with `crash_sim: true`.
     pub fn crash_image(&self, policy: CrashPolicy) -> Pmem {
-        assert!(
-            self.cfg.crash_sim || self.backend.wants_batches(),
-            "crash_image requires PmemConfig::crash_sim = true"
-        );
-        let durable = self
-            .durable
-            .as_ref()
-            .expect("pools always keep a durable image");
-        let image = durable.snapshot();
+        let image = self.durable.snapshot();
         let now = self.clock.now_ns();
         for (&line, state) in &self.lines {
             let drained = matches!(state, LineState::Inflight { done_ns } if *done_ns <= now);
@@ -1240,7 +1017,7 @@ impl Pmem {
         Pmem::from_parts(
             self.cfg.clone(),
             image,
-            Some(durable_copy),
+            durable_copy,
             Arc::new(MemBackend),
             None,
         )
@@ -1606,121 +1383,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_lanes_accumulate_in_parallel() {
-        let mut pm = testing_pmem();
-        pm.configure_shards(2);
-        pm.set_active_shard(0);
-        pm.write_u64(0x100, 1);
-        pm.set_active_shard(1);
-        pm.write_u64(0x4100, 2);
-        // Each lane saw one write; the global counters saw both.
-        assert_eq!(pm.shard_stats(0).writes, 1);
-        assert_eq!(pm.shard_stats(1).writes, 1);
-        assert_eq!(pm.stats().writes, 2);
-        let rolled = pm.rolled_up_shard_stats();
-        assert_eq!(rolled.writes, pm.stats().writes);
-        assert_eq!(rolled.bytes_written, pm.stats().bytes_written);
-        // Wall time is the slowest lane, not the serial sum.
-        assert!(pm.lane_ns(0) > 0.0);
-        assert!(pm.lane_ns(1) > 0.0);
-        assert!(pm.wall_ns() < pm.clock().now_ns());
-        assert!((pm.wall_ns() - pm.lane_ns(0).max(pm.lane_ns(1))).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sync_lane_charges_stall_as_flush() {
-        let mut pm = testing_pmem();
-        pm.configure_shards(2);
-        pm.set_active_shard(0);
-        pm.write_u64(0x100, 1);
-        let t0 = pm.lane_ns(0);
-        pm.sync_lane_to(1, t0 + 100.0);
-        assert!((pm.lane_ns(1) - (t0 + 100.0)).abs() < 1e-9);
-        assert!((pm.lane_breakdown(1).flush_ns - (t0 + 100.0)).abs() < 1e-9);
-        // Syncing backwards is a no-op.
-        pm.sync_lane_to(1, 0.0);
-        assert!((pm.lane_ns(1) - (t0 + 100.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn unsharded_pool_wall_is_global_clock() {
-        let mut pm = testing_pmem();
-        pm.write_u64(0x100, 1);
-        assert_eq!(pm.wall_ns(), pm.clock().now_ns());
-        assert_eq!(pm.shard_count(), 0);
-        assert_eq!(pm.active_shard(), 0);
-    }
-
-    #[test]
-    fn fence_counts_land_on_active_lane() {
-        let mut pm = testing_pmem();
-        pm.configure_shards(2);
-        pm.set_active_shard(1);
-        pm.write_u64(0x100, 1);
-        pm.clwb(0x100);
-        pm.sfence();
-        assert_eq!(pm.shard_stats(1).fences, 1);
-        assert_eq!(pm.shard_stats(1).flushes_issued, 1);
-        assert_eq!(pm.shard_stats(0).fences, 0);
-        assert_eq!(pm.stats().fences, 1);
-    }
-
-    #[test]
-    fn shard_lanes_share_one_wpq() {
-        // Both lanes flush one line each "at the same lane-time"; the
-        // drains serialize on the shared WPQ, so the fencing lane waits
-        // for both — the serial bottleneck survives sharding.
-        let mut pm = testing_pmem();
-        let m = pm.config().latency.clone();
-        pm.configure_shards(2);
-        pm.set_active_shard(0);
-        pm.write_u64(0x100, 1);
-        pm.clwb(0x100);
-        let lane0_issue = pm.lane_ns(0);
-        pm.set_active_shard(1);
-        pm.write_u64(0x4100, 2);
-        pm.clwb(0x4100);
-        pm.sfence();
-        // Two serialized drain occupancies behind one launch, ending no
-        // earlier than the first issue plus the 2-line critical path.
-        assert!(pm.lane_ns(1) >= lane0_issue + m.drain_path_ns(2) - m.drain_path_ns(1));
-        assert!(pm.shard_stats(1).residual_stall_ns > 0.0);
-    }
-
-    #[test]
-    fn lane_overlap_accrues_to_the_fencing_lane() {
-        let mut pm = testing_pmem();
-        pm.configure_shards(2);
-        pm.set_active_shard(0);
-        pm.write_u64(0x100, 1);
-        pm.clwb(0x100);
-        pm.charge_ns(10_000.0); // lane-0 compute hides the drain
-        pm.sfence();
-        assert!(pm.shard_stats(0).overlap_ns > 0.0);
-        assert!(pm.shard_stats(0).overlap_ratio() > 0.9);
-        assert_eq!(pm.shard_stats(1).overlap_ns, 0.0);
-    }
-
-    #[test]
-    fn reset_metrics_clears_lanes() {
-        let mut pm = testing_pmem();
-        pm.configure_shards(2);
-        pm.write_u64(0x100, 1);
-        pm.reset_metrics();
-        assert_eq!(pm.shard_stats(0).writes, 0);
-        assert_eq!(pm.lane_ns(0), 0.0);
-        assert_eq!(pm.shard_count(), 2, "configuration survives reset");
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_shard_rejected() {
-        let mut pm = testing_pmem();
-        pm.configure_shards(2);
-        pm.set_active_shard(2);
-    }
-
-    #[test]
     fn fork_handle_shares_storage_not_sim_state() {
         let mut pm = testing_pmem();
         pm.write_u64(0x100, 7);
@@ -1795,16 +1457,6 @@ mod tests {
         h.clwb(0x4000);
         let img = pm.crash_image(CrashPolicy::PersistAll);
         assert_eq!(img.peek_u64(0x4000), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "crash_sim")]
-    fn crash_image_requires_crash_sim() {
-        let pm = Pmem::new(PmemConfig {
-            crash_sim: false,
-            ..PmemConfig::testing()
-        });
-        let _ = pm.crash_image(CrashPolicy::OnlyFenced);
     }
 
     // ------------------------------------------------------------------

@@ -118,7 +118,7 @@ impl PmStats {
     }
 
     /// Counter-wise sum `self + other` (histograms merged by epoch
-    /// count). Used to roll per-shard counters up into a pool total.
+    /// count). Used to roll worker-handle counters up into a pool total.
     pub fn merge(&mut self, other: &PmStats) {
         self.flushes_issued += other.flushes_issued;
         self.effective_flushes += other.effective_flushes;

@@ -7,12 +7,11 @@ use mod_pmem::{Durability, PmemConfig};
 use std::io;
 use std::path::Path;
 
-/// The server's pool configuration: a real file journal, no crash
-/// simulation (crashes here are real process kills).
+/// The server's pool configuration: a real file journal, no tracing
+/// (crashes here are real process kills).
 pub fn pool_config() -> PmemConfig {
     PmemConfig {
         capacity: 1 << 26,
-        crash_sim: false,
         trace: false,
         ..PmemConfig::default()
     }

@@ -10,7 +10,7 @@
 //! `(threads, ops, seed)` — the same property the concurrent crash tests
 //! rely on.
 //!
-//! The interesting output is *simulated* time: per-worker shard lanes
+//! The interesting output is *simulated* time: per-worker timelines
 //! overlap shadow-building work, and the pipelined commit batches all
 //! concurrently staged FASEs under one `sfence`, so throughput in
 //! FASEs per simulated millisecond scales with threads — the
@@ -81,7 +81,7 @@ pub struct ConcurrencyReport {
     pub pm: PmStats,
     /// Worker-lane PM counters rolled up (per-lane overlap accounting).
     pub lanes: PmStats,
-    /// Simulated wall-clock nanoseconds (slowest shard lane).
+    /// Simulated wall-clock nanoseconds (slowest worker timeline).
     pub sim_wall_ns: f64,
     /// Queue/map state after the run (consistency checks).
     pub queue_len: u64,

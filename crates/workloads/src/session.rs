@@ -97,7 +97,6 @@ fn pool_config() -> PmemConfig {
     };
     PmemConfig {
         capacity: 1 << 26,
-        crash_sim: false,
         trace: false,
         journal_shards,
         durability,

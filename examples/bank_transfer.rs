@@ -26,7 +26,6 @@ fn total(heap: &ModHeap, a: &Book, b: &Book) -> u64 {
 fn main() {
     let pool = Pmem::new(PmemConfig {
         capacity: 1 << 26,
-        crash_sim: true,
         ..PmemConfig::default()
     });
     let mut heap = ModHeap::create(pool);

@@ -23,7 +23,6 @@ fn main() {
 
     let pool = Pmem::new(PmemConfig {
         capacity: 1 << 27,
-        crash_sim: true,
         ..PmemConfig::default()
     });
     let mut heap = ModHeap::create(pool);

@@ -48,7 +48,6 @@ impl KvStore {
 fn main() {
     let pool = Pmem::new(PmemConfig {
         capacity: 1 << 26,
-        crash_sim: true,
         ..PmemConfig::default()
     });
     let mut heap = ModHeap::create(pool);

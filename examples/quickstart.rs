@@ -14,10 +14,9 @@ use mod_pmem::{CrashPolicy, Pmem, PmemConfig};
 
 fn main() {
     // A simulated persistent-memory pool (would be a DAX mapping on real
-    // hardware), with crash simulation enabled.
+    // hardware).
     let pool = Pmem::new(PmemConfig {
         capacity: 1 << 26,
-        crash_sim: true,
         ..PmemConfig::default()
     });
     let mut heap = ModHeap::create(pool);

@@ -15,7 +15,6 @@ use std::collections::HashMap;
 fn heap() -> NvHeap {
     NvHeap::format(Pmem::new(PmemConfig {
         capacity: 1 << 26,
-        crash_sim: false,
         trace: false,
         ..PmemConfig::default()
     }))

@@ -354,7 +354,6 @@ fn memcached_mix_journal_bytes_per_op_drop_under_hybrid() {
         let _ = std::fs::remove_file(&path);
         let cfg = PmemConfig {
             capacity: 1 << 26,
-            crash_sim: false,
             ..PmemConfig::default()
         };
         let mut h = ModHeap::create_file(&path, cfg).unwrap();

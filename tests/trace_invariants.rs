@@ -11,7 +11,6 @@ use mod_pmem::{check_trace, Pmem, PmemConfig};
 fn traced_heap() -> ModHeap {
     ModHeap::create(Pmem::new(PmemConfig {
         capacity: 1 << 26,
-        crash_sim: false,
         trace: true,
         ..PmemConfig::default()
     }))
